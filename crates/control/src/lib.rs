@@ -23,6 +23,7 @@
 //! assert!(result.fidelity > 0.999);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grape;

@@ -44,6 +44,7 @@
 //! assert!(aggregated.total_latency_ns < baseline.total_latency_ns);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

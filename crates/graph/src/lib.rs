@@ -22,6 +22,7 @@
 //! assert_eq!(order.len(), 9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generators;

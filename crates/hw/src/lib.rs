@@ -19,6 +19,7 @@
 //! assert!(model.isa_gate_latency(&cnot) > 20.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -24,6 +24,7 @@
 //! assert!(commute::sequence_is_diagonal(&instructions, 2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bytes;

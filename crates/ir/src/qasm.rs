@@ -84,9 +84,14 @@ pub fn parse(text: &str) -> Result<Circuit, QasmError> {
         }
         if lower.starts_with("qreg") {
             let (name, size) = parse_reg_decl(&stmt, lineno)?;
+            if reg_offset.contains_key(&name) {
+                return Err(err(lineno, format!("register '{name}' declared twice")));
+            }
             reg_offset.insert(name.clone(), total_qubits);
             registers.push((name, size));
-            total_qubits += size;
+            total_qubits = total_qubits
+                .checked_add(size)
+                .ok_or_else(|| err(lineno, "total register size overflows"))?;
             continue;
         }
         if lower.starts_with("creg") || lower.starts_with("barrier") || lower.starts_with("measure")
@@ -99,9 +104,15 @@ pub fn parse(text: &str) -> Result<Circuit, QasmError> {
     let mut circuit = Circuit::new(total_qubits);
     for (lineno, stmt) in circuit_statements {
         let (gate, qubits) = parse_gate_statement(&stmt, lineno, &reg_offset, &registers)?;
-        for q in &qubits {
+        for (i, q) in qubits.iter().enumerate() {
             if *q >= total_qubits {
                 return Err(err(lineno, format!("qubit index {q} out of range")));
+            }
+            if qubits[..i].contains(q) {
+                return Err(err(
+                    lineno,
+                    format!("gate {} repeats qubit {q}", gate.name()),
+                ));
             }
         }
         circuit.push(gate, &qubits);
@@ -119,9 +130,10 @@ fn parse_reg_decl(stmt: &str, line: usize) -> Result<(String, usize), QasmError>
     let open = rest
         .find('[')
         .ok_or_else(|| err(line, "missing '[' in qreg"))?;
-    let close = rest
+    let close = rest[open..]
         .find(']')
-        .ok_or_else(|| err(line, "missing ']' in qreg"))?;
+        .map(|i| open + i)
+        .ok_or_else(|| err(line, "missing ']' after '[' in qreg"))?;
     let name = rest[..open].trim().to_string();
     let size: usize = rest[open + 1..close]
         .trim()
@@ -160,8 +172,9 @@ fn parse_gate_statement(
 
     let (name, params) = match head.find('(') {
         Some(open) => {
-            let close = head
+            let close = head[open..]
                 .rfind(')')
+                .map(|i| open + i)
                 .ok_or_else(|| err(line, "unbalanced parenthesis in gate parameters"))?;
             let name = head[..open].trim().to_lowercase();
             let params: Result<Vec<f64>, QasmError> = head[open + 1..close]
@@ -256,9 +269,10 @@ fn parse_operand(
     registers: &[(String, usize)],
 ) -> Result<usize, QasmError> {
     if let Some(open) = op.find('[') {
-        let close = op
+        let close = op[open..]
             .find(']')
-            .ok_or_else(|| err(line, format!("missing ']' in operand '{op}'")))?;
+            .map(|i| open + i)
+            .ok_or_else(|| err(line, format!("missing ']' after '[' in operand '{op}'")))?;
         let name = op[..open].trim();
         let idx: usize = op[open + 1..close]
             .trim()
@@ -292,33 +306,42 @@ fn parse_angle(expr: &str, line: usize) -> Result<f64, QasmError> {
     if cleaned.is_empty() {
         return Err(err(line, "empty angle expression"));
     }
-    parse_angle_expr(&cleaned).ok_or_else(|| err(line, format!("cannot parse angle '{expr}'")))
+    parse_angle_expr(&cleaned, 0).ok_or_else(|| err(line, format!("cannot parse angle '{expr}'")))
 }
 
-fn parse_angle_expr(s: &str) -> Option<f64> {
+/// Nesting bound of [`parse_angle_expr`]: every sign, parenthesis pair and
+/// operator recurses once, so outside input must not drive the recursion
+/// depth (and the stack) with its length.
+const MAX_ANGLE_DEPTH: usize = 64;
+
+fn parse_angle_expr(s: &str, depth: usize) -> Option<f64> {
+    if depth > MAX_ANGLE_DEPTH {
+        return None;
+    }
+    let depth = depth + 1;
     // Handle unary minus.
     if let Some(rest) = s.strip_prefix('-') {
-        return parse_angle_expr(rest).map(|v| -v);
+        return parse_angle_expr(rest, depth).map(|v| -v);
     }
     if let Some(rest) = s.strip_prefix('+') {
-        return parse_angle_expr(rest);
+        return parse_angle_expr(rest, depth);
     }
     // Split on top-level '*' or '/' (no parentheses support needed beyond
     // full-expression wrapping).
     if let Some(inner) = s.strip_prefix('(').and_then(|r| r.strip_suffix(')')) {
-        return parse_angle_expr(inner);
+        return parse_angle_expr(inner, depth);
     }
     for (i, c) in s.char_indices() {
         if c == '*' {
-            let lhs = parse_angle_expr(&s[..i])?;
-            let rhs = parse_angle_expr(&s[i + 1..])?;
+            let lhs = parse_angle_expr(&s[..i], depth)?;
+            let rhs = parse_angle_expr(&s[i + 1..], depth)?;
             return Some(lhs * rhs);
         }
     }
     for (i, c) in s.char_indices() {
         if c == '/' {
-            let lhs = parse_angle_expr(&s[..i])?;
-            let rhs = parse_angle_expr(&s[i + 1..])?;
+            let lhs = parse_angle_expr(&s[..i], depth)?;
+            let rhs = parse_angle_expr(&s[i + 1..], depth)?;
             return Some(lhs / rhs);
         }
     }
@@ -442,6 +465,33 @@ mod tests {
         }
         // Semantics are preserved exactly.
         assert!(c.unitary().approx_eq(&reparsed.unitary(), 1e-12));
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_naming_its_line() {
+        // Reversed brackets, a repeated qubit, register sizes overflowing
+        // `usize`, a redeclared register and angle nesting past
+        // `MAX_ANGLE_DEPTH`: each is a `QasmError` on its own line.
+        let cases = [
+            "qreg q]2[;",
+            "x q]0[;",
+            "rx)1( q[0];",
+            "qreg q[2]; cx q[0],q[0];",
+            "qreg a[18446744073709551615]; qreg b[1];",
+            "qreg q[2]; qreg q[3];",
+        ];
+        let deep = format!(
+            "qreg q[1]; rx({}1{}) q[0];",
+            "-(".repeat(40),
+            ")".repeat(40)
+        );
+        for case in cases.into_iter().chain([deep.as_str()]) {
+            let text = format!("OPENQASM 2.0;\n{case}\n");
+            let e = parse(&text).expect_err(case);
+            assert_eq!(e.line, 2, "{case}: {e}");
+        }
+        let e = parse("qreg q[2]; cx q[0],q[0];").unwrap_err();
+        assert!(e.message.contains("repeats qubit 0"), "{e}");
     }
 
     #[test]

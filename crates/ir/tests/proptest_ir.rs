@@ -48,6 +48,32 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// Fragments of the QASM alphabet: keywords, brackets, separators, digits
+/// (including `usize::MAX`), angle syntax, gate names of every arity and
+/// whitespace.
+const QASM_WORDS: &str =
+    "qreg creg q a [ ] ( ) , ; 0 1 2 9 18446744073709551615 - * / pi x h rz cx swap ccx measure -> //";
+
+/// Arbitrary token soup over the QASM alphabet — mostly malformed programs.
+fn arb_qasm_text() -> impl Strategy<Value = String> {
+    let tokens: Vec<&str> = QASM_WORDS.split(' ').chain([" ", "\n"]).collect();
+    prop::collection::vec(0..tokens.len(), 0..40)
+        .prop_map(move |picks| picks.into_iter().map(|i| tokens[i]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The parser is total on outside input: any token soup yields `Ok` or
+    /// an error naming a line of the text, never a panic.
+    #[test]
+    fn qasm_parse_never_panics(text in arb_qasm_text()) {
+        if let Err(e) = qasm::parse(&text) {
+            prop_assert!(e.line >= 1 && e.line <= text.lines().count(), "{e} for {text:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

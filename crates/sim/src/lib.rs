@@ -20,6 +20,7 @@
 //! assert!((state.probabilities()[3] - 0.5).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod evolution;

@@ -18,6 +18,7 @@
 //! assert_eq!(benchmarks.len(), 11);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arithmetic;

@@ -112,7 +112,7 @@ fn main() {
         )
         .expect("line device fits the example");
     println!(
-        "\nGRAPE-priced pipeline ({} solves, {} ns total):",
+        "\nGRAPE-priced pipeline ({} solves, program latency {} ns):",
         grape.solve_count(),
         grape_result.total_latency_ns.round()
     );
