@@ -389,11 +389,10 @@ impl Pipeline {
     /// Runs the single pass at `index` over `state`, recording its
     /// [`PassReport`] exactly as [`run`](Self::run) does.
     ///
-    /// This is the unit of work of the staged execution mode
-    /// ([`run_staged`](Self::run_staged) and the
-    /// [`service::queue`](crate::service::queue) workers): driving the passes
-    /// one index at a time through this method is semantically identical to
-    /// one `run` call, so staged output is bit-identical to serial output by
+    /// This is the unit of work of the serving queue's stage workers
+    /// ([`service::queue`](crate::service::queue)): driving the passes one
+    /// index at a time through this method is semantically identical to one
+    /// `run` call, so served output is bit-identical to serial output by
     /// construction.
     ///
     /// # Panics

@@ -492,54 +492,48 @@ impl<'a> Compiler<'a> {
         finish(state, options.strategy, circuit.n_qubits())
     }
 
-    /// Compiles a batch of circuits under one option set by streaming them
-    /// through the strategy's pipeline in **staged** mode
-    /// ([`Pipeline::run_staged`]): the passes become concurrent stages with
-    /// bounded hand-off channels, so circuit *i+1* is flattened while circuit
-    /// *i* aggregates — steady-state throughput instead of per-circuit
-    /// barriers.
+    /// Compiles a batch of circuits under one option set: the shared latency
+    /// cache is first warmed with the batch's routed instruction streams on
+    /// the full pool, then whole circuits are handed to the pool's dynamic
+    /// [`parallel_map`](ThreadPool::parallel_map), each compiling with a
+    /// serial pricing pool. A one-circuit batch keeps the full pool for its
+    /// pricing loops instead.
     ///
     /// Results are returned in input order and are **bit-identical** to
     /// compiling each circuit serially: every circuit's passes run in recipe
     /// order over its own state, the models are deterministic, and the shared
     /// latency cache is compute-once per key, so a batch warms the cache
-    /// exactly as the same circuits compiled one by one would.
+    /// exactly as the same circuits compiled one by one would. Per-circuit
+    /// errors stay in their own slot; a panicking pass propagates to the
+    /// caller once the other workers have stopped.
     pub fn compile_batch(
         &self,
         circuits: &[Circuit],
         options: &CompilerOptions,
     ) -> Vec<Result<CompilationResult, CompileError>> {
-        if circuits.is_empty() {
-            return Vec::new();
-        }
         self.warm_latency_cache(circuits, options);
-        options
-            .strategy
-            .pipeline()
-            .run_staged(
-                circuits,
-                self.device,
-                self.model,
-                &self.fingerprint,
-                options,
-                self.pool.threads(),
-                crate::staged::DEFAULT_STAGE_CAPACITY,
-            )
-            .into_iter()
-            .zip(circuits)
-            .map(|(state, circuit)| {
-                state.and_then(|s| finish(s, options.strategy, circuit.n_qubits()))
-            })
-            .collect()
+        let inner = Compiler {
+            pool: if circuits.len() == 1 {
+                self.pool
+            } else {
+                ThreadPool::serial()
+            },
+            fingerprint: self.fingerprint.clone(),
+            ..*self
+        };
+        let pipeline = options.strategy.pipeline();
+        self.pool.parallel_map(circuits, |circuit| {
+            inner.run_pipeline(&pipeline, circuit, options)
+        })
     }
 
     /// Batch warm-up: pre-prices the routed instruction streams of every
     /// circuit through one [`LatencyModel::aggregate_latency_batch`] call on
     /// the **full** pool before the per-circuit fan-out begins.
     ///
-    /// The batch fan-out splits the thread budget, often down to one thread
-    /// per circuit, which would leave each compile's initial latency
-    /// vectoring — the bulk of the distinct GRAPE keys — running serially.
+    /// The batch fan-out gives each circuit a serial pricing pool, which
+    /// would leave each compile's initial latency vectoring — the bulk of
+    /// the distinct GRAPE keys — running serially.
     /// Warming the shared compute-once cache up front lets the whole pool
     /// chew on the union of unique keys across the batch instead. The keys
     /// are exactly the ones each compile prices first (the routing prefix is
@@ -547,7 +541,7 @@ impl<'a> Compiler<'a> {
     /// solves just happen earlier and on more threads. Skipped when it
     /// cannot pay: uninstrumented cheap models, single-threaded pools, and
     /// per-gate-priced strategies.
-    pub(crate) fn warm_latency_cache(&self, circuits: &[Circuit], options: &CompilerOptions) {
+    fn warm_latency_cache(&self, circuits: &[Circuit], options: &CompilerOptions) {
         if !self.model.parallel_pricing()
             || self.pool.threads() <= 1
             || !options.strategy.pulse_per_instruction()

@@ -326,24 +326,36 @@ fn parse_angle_expr(s: &str, depth: usize) -> Option<f64> {
     if let Some(rest) = s.strip_prefix('+') {
         return parse_angle_expr(rest, depth);
     }
-    // Split on top-level '*' or '/' (no parentheses support needed beyond
-    // full-expression wrapping).
-    if let Some(inner) = s.strip_prefix('(').and_then(|r| r.strip_suffix(')')) {
-        return parse_angle_expr(inner, depth);
-    }
+    // One scan finds the last '*' or '/' outside parentheses (the operators
+    // are left-associative, so the last one binds loosest) and where the
+    // parenthesis opened by the first character closes.
+    let mut level = 0usize;
+    let mut split = None;
+    let mut first_close = None;
     for (i, c) in s.char_indices() {
-        if c == '*' {
-            let lhs = parse_angle_expr(&s[..i], depth)?;
-            let rhs = parse_angle_expr(&s[i + 1..], depth)?;
-            return Some(lhs * rhs);
+        match c {
+            '(' => level += 1,
+            ')' => {
+                level = level.checked_sub(1)?;
+                if level == 0 && first_close.is_none() {
+                    first_close = Some(i);
+                }
+            }
+            '*' | '/' if level == 0 => split = Some((i, c)),
+            _ => {}
         }
     }
-    for (i, c) in s.char_indices() {
-        if c == '/' {
-            let lhs = parse_angle_expr(&s[..i], depth)?;
-            let rhs = parse_angle_expr(&s[i + 1..], depth)?;
-            return Some(lhs / rhs);
-        }
+    if level != 0 {
+        return None;
+    }
+    if let Some((i, op)) = split {
+        let lhs = parse_angle_expr(&s[..i], depth)?;
+        let rhs = parse_angle_expr(&s[i + 1..], depth)?;
+        return Some(if op == '*' { lhs * rhs } else { lhs / rhs });
+    }
+    // Strip a parenthesis pair only when it wraps the whole expression.
+    if s.starts_with('(') && first_close == Some(s.len() - 1) {
+        return parse_angle_expr(&s[1..s.len() - 1], depth);
     }
     if s.eq_ignore_ascii_case("pi") {
         return Some(std::f64::consts::PI);
@@ -419,6 +431,15 @@ mod tests {
         match c.instructions()[1].gate {
             Gate::Rz(t) => assert!((t - 2.0 * PI).abs() < 1e-12),
             _ => panic!(),
+        }
+        // Division is left-associative, and parenthesised operands parse.
+        let text = "qreg q[1]; rz(pi/2/2) q[0]; rz(1/2/4) q[0]; rz((pi)*(2)) q[0];";
+        let c = parse(text).unwrap();
+        for (inst, want) in c.instructions().iter().zip([PI / 4.0, 0.125, 2.0 * PI]) {
+            match inst.gate {
+                Gate::Rz(t) => assert!((t - want).abs() < 1e-12, "{t} != {want}"),
+                _ => panic!(),
+            }
         }
     }
 

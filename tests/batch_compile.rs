@@ -1,16 +1,19 @@
 //! The batch front door: `Compiler::compile_batch` / `CompileService` must be
-//! deterministic under the thread-pool fan-out — batch results across ≥4
+//! deterministic under the thread-pool fan-out — batch results at 1 to 8
 //! threads are bit-identical to compiling each circuit serially — and must
 //! share the latency cache so every distinct GRAPE key is solved exactly once
-//! for the whole batch.
+//! for the whole batch. A pass that panics must reach the caller, not hang it.
 
 use qcc::compiler::{
     AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, Strategy,
 };
 use qcc::control::GrapeLatencyModel;
-use qcc::hw::{CalibratedLatencyModel, Device};
-use qcc::ir::Circuit;
+use qcc::hw::{CalibratedLatencyModel, Device, LatencyModel};
+use qcc::ir::{Circuit, Gate, Instruction};
 use qcc::workloads::{ising, qaoa};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn batch_workloads(n: usize) -> Vec<Circuit> {
     vec![
@@ -27,27 +30,29 @@ fn batched_compilation_matches_per_circuit_serial_compiles() {
     let circuits = batch_workloads(8);
     let device = Device::transmon_grid(8);
     let model = CalibratedLatencyModel::new(device.limits);
-    for strategy in Strategy::all() {
-        let options = CompilerOptions::strategy(strategy);
-        let batched = Compiler::new(&device, &model)
-            .with_threads(4)
-            .compile_batch(&circuits, &options);
-        assert_eq!(batched.len(), circuits.len());
+    for threads in [1, 2, 4, 8] {
+        for strategy in Strategy::all() {
+            let options = CompilerOptions::strategy(strategy);
+            let batched = Compiler::new(&device, &model)
+                .with_threads(threads)
+                .compile_batch(&circuits, &options);
+            assert_eq!(batched.len(), circuits.len());
 
-        let serial = Compiler::new(&device, &model).with_threads(1);
-        for (i, (circuit, result)) in circuits.iter().zip(&batched).enumerate() {
-            let batch_result = result.as_ref().expect("batch entry compiled");
-            let reference = serial.compile(circuit, &options);
-            assert_eq!(
-                batch_result.total_latency_ns.to_bits(),
-                reference.total_latency_ns.to_bits(),
-                "{strategy:?}: batch entry {i} drifted from the serial compile"
-            );
-            assert_eq!(batch_result.latencies.len(), reference.latencies.len());
-            for (a, b) in batch_result.latencies.iter().zip(&reference.latencies) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?}: entry {i}");
+            let serial = Compiler::new(&device, &model).with_threads(1);
+            for (i, (circuit, result)) in circuits.iter().zip(&batched).enumerate() {
+                let batch_result = result.as_ref().expect("batch entry compiled");
+                let reference = serial.compile(circuit, &options);
+                assert_eq!(
+                    batch_result.total_latency_ns.to_bits(),
+                    reference.total_latency_ns.to_bits(),
+                    "{strategy:?}: batch entry {i} drifted from the serial compile"
+                );
+                assert_eq!(batch_result.latencies.len(), reference.latencies.len());
+                for (a, b) in batch_result.latencies.iter().zip(&reference.latencies) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?}: entry {i}");
+                }
+                assert_eq!(batch_result.swap_count, reference.swap_count);
             }
-            assert_eq!(batch_result.swap_count, reference.swap_count);
         }
     }
 }
@@ -130,4 +135,79 @@ fn batch_reports_carry_per_pass_timing() {
         );
         assert!(r.total_pass_time() > std::time::Duration::ZERO);
     }
+}
+
+/// Rotation angle that makes [`PanicsOnMarker`] panic when it prices it.
+const MARKER: f64 = 0.123_456_789;
+
+/// Calibrated pricing that panics on any instruction carrying the
+/// [`MARKER`] rotation — a pass that blows up on exactly one circuit.
+struct PanicsOnMarker(CalibratedLatencyModel);
+
+impl PanicsOnMarker {
+    fn check(inst: &Instruction) {
+        if inst.gate == Gate::Rz(MARKER) {
+            panic!("pricing hit the marker rotation");
+        }
+    }
+}
+
+impl LatencyModel for PanicsOnMarker {
+    fn isa_gate_latency(&self, inst: &Instruction) -> f64 {
+        Self::check(inst);
+        self.0.isa_gate_latency(inst)
+    }
+
+    fn aggregate_latency(&self, constituents: &[Instruction]) -> f64 {
+        constituents.iter().for_each(Self::check);
+        self.0.aggregate_latency(constituents)
+    }
+
+    fn name(&self) -> &'static str {
+        "panics-on-marker"
+    }
+}
+
+#[test]
+fn a_panicking_pass_in_a_service_batch_reaches_the_caller_instead_of_hanging() {
+    // The batch runs on its own thread so a regression that loses the panic
+    // (and blocks forever) fails this test at the timeout instead of hanging.
+    let (tx, rx) = mpsc::channel();
+    let batch = std::thread::spawn(move || {
+        let device = Device::transmon_line(3);
+        let model = PanicsOnMarker(CalibratedLatencyModel::new(device.limits));
+        let service = CompileService::with_model(&device, Box::new(model)).with_threads(2);
+        let mut poisoned = qaoa::maxcut_line(3);
+        poisoned.push(Gate::Rz(MARKER), &[0]);
+        let circuits = vec![
+            qaoa::paper_triangle_example(),
+            poisoned,
+            ising::ising_chain(3),
+        ];
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            service.compile_batch(
+                &circuits,
+                &CompilerOptions::strategy(Strategy::ClsAggregation),
+            )
+        }));
+        let message = outcome.err().map(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    let message = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("compile_batch hung after a pass panicked");
+    batch
+        .join()
+        .expect("the panic was caught on the batch thread");
+    assert_eq!(
+        message.as_deref(),
+        Some("pricing hit the marker rotation"),
+        "the pass panic must reach the caller with its payload"
+    );
 }
